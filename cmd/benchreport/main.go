@@ -9,9 +9,10 @@
 // run shells out to `go test -run '^$' -bench ... -benchmem`, parses the
 // standard benchmark output, and writes one JSON record per benchmark.
 // parse does the same from a saved output file. compare joins baseline and
-// current on benchmark name — the intersection only, because subbenchmark
-// names embed GOMAXPROCS and worker counts that vary across machines — and
-// exits nonzero iff any shared benchmark's allocs/op increased. ns/op is
+// current on benchmark name and exits nonzero iff any shared benchmark's
+// allocs/op increased or any baseline benchmark is missing from the current
+// run (a vanished benchmark would otherwise drop out of the gate silently;
+// subbenchmark names are therefore kept machine-independent). ns/op is
 // advisory by default: timing on shared CI runners is too noisy to gate on,
 // so slower wall times only print a warning (tolerance set by -ns-tol,
 // fraction over baseline). -ns-gate opts in to failing on those ns/op
@@ -158,16 +159,19 @@ func cmdCompare(args []string) error {
 	baseBy := byName(base.Records)
 	curBy := byName(cur.Records)
 	var shared []string
+	var regressions []string
 	for name := range baseBy {
 		if _, ok := curBy[name]; ok {
 			shared = append(shared, name)
+		} else {
+			regressions = append(regressions, fmt.Sprintf("%s: in the baseline, missing from the current run", name))
 		}
 	}
 	sort.Strings(shared)
+	sort.Strings(regressions)
 	if len(shared) == 0 {
 		return fmt.Errorf("no benchmark names shared between %s and %s", *basePath, *curPath)
 	}
-	var regressions []string
 	for _, name := range shared {
 		b, c := baseBy[name], curBy[name]
 		if b.Allocs >= 0 && c.Allocs > b.Allocs {

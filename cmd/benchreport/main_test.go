@@ -57,18 +57,30 @@ func writeTempReport(t *testing.T, name string, recs []Record) string {
 func TestCompare(t *testing.T) {
 	base := writeTempReport(t, "base.json", []Record{
 		{Name: "BenchmarkA", Ns: 100, Allocs: 0, Bytes: 0},
-		{Name: "BenchmarkOnlyBase", Ns: 50, Allocs: 1, Bytes: 8},
+		{Name: "BenchmarkB", Ns: 50, Allocs: 1, Bytes: 8},
 		{Name: "BenchmarkNoMem", Ns: 10, Allocs: -1, Bytes: -1},
 	})
 
-	// Same allocs, slower ns: advisory only, exit ok.
+	// Same allocs, slower ns: advisory only, exit ok. A benchmark only the
+	// current run has is new, not a regression.
 	cur := writeTempReport(t, "ok.json", []Record{
 		{Name: "BenchmarkA", Ns: 150, Allocs: 0, Bytes: 0},
+		{Name: "BenchmarkB", Ns: 50, Allocs: 1, Bytes: 8},
 		{Name: "BenchmarkOnlyCurrent", Ns: 1, Allocs: 99, Bytes: 999},
 		{Name: "BenchmarkNoMem", Ns: 40, Allocs: -1, Bytes: -1},
 	})
 	if err := cmdCompare([]string{"-baseline", base, "-current", cur}); err != nil {
 		t.Fatalf("ns-only slowdown must not fail: %v", err)
+	}
+
+	// A baseline benchmark missing from the current run fails the gate
+	// instead of silently dropping out of it.
+	missing := writeTempReport(t, "missing.json", []Record{
+		{Name: "BenchmarkA", Ns: 100, Allocs: 0, Bytes: 0},
+		{Name: "BenchmarkNoMem", Ns: 10, Allocs: -1, Bytes: -1},
+	})
+	if err := cmdCompare([]string{"-baseline", base, "-current", missing}); err == nil {
+		t.Fatal("a baseline benchmark missing from the current run must fail compare")
 	}
 
 	// Allocation growth on a shared benchmark: hard failure.

@@ -23,9 +23,9 @@
 //	                 config and print the cheapest per-layer ECC / replica /
 //	                 spare-row / scrub plan meeting -plan-miss without a
 //	                 single Monte-Carlo sweep
-//	mnnsim batch   — serial vs batched forward: run the test set through the
-//	                 single-image path and the multi-image bit-plane kernel,
-//	                 verify bit-identical logits, and report both throughputs
+//	mnnsim batch   — batch-size invariance: run the test set one image per
+//	                 pass (B=1) and -batch images per pass, verify
+//	                 bit-identical logits, and report both throughputs
 //	mnnsim devices — list the named device library: every registered
 //	                 resistive-cell profile with its headline parameters
 //	mnnsim scenarios — environment-adaptation matrix: device x scenario
@@ -496,17 +496,16 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		if b < 1 {
 			b = 1
 		}
-		// Serial reference: one image per pass, streams 100+i.
+		// Reference: one image per pass (B=1), streams 100+i.
 		sess := eng.NewSession(0)
-		serial := make([]*nn.Tensor, len(test))
+		single := make([]*nn.Tensor, len(test))
 		t0 := time.Now()
 		for i, ex := range test {
 			sess.Reseed(100 + uint64(i))
-			serial[i] = sess.Forward(ex.Input).Clone()
+			single[i] = sess.Forward(ex.Input).Clone()
 		}
-		serialDur := time.Since(t0)
-		// Batched: the same (engine, stream) pairs through the multi-image
-		// kernel, b images per pass.
+		singleDur := time.Since(t0)
+		// Batched: the same (engine, stream) pairs, b images per pass.
 		bsess := eng.NewSession(0)
 		defer bsess.Close()
 		var mismatches int
@@ -528,7 +527,7 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 					return fmt.Errorf("batch: image %d: %w", lo+i, errs[i])
 				}
 				for k, v := range outs[i].Data {
-					if math.Float64bits(v) != math.Float64bits(serial[lo+i].Data[k]) {
+					if math.Float64bits(v) != math.Float64bits(single[lo+i].Data[k]) {
 						mismatches++
 						break
 					}
@@ -536,19 +535,18 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 			}
 		}
 		batchDur := time.Since(t0)
-		fmt.Printf("\nSerial vs batched forward (%s, ABN-9, 2-bit cells, %d images, batch %d)\n",
-			w.Name, len(test), b)
-		fmt.Printf("serial : %8.0f ns/image  %8.0f images/sec\n",
-			float64(serialDur.Nanoseconds())/float64(len(test)),
-			float64(len(test))/serialDur.Seconds())
-		fmt.Printf("batched: %8.0f ns/image  %8.0f images/sec  (%.2fx)\n",
+		fmt.Printf("\nBatch-size invariance (%s, ABN-9, 2-bit cells, %d images)\n", w.Name, len(test))
+		fmt.Printf("B=1%-4s: %8.0f ns/image  %8.0f images/sec\n", "",
+			float64(singleDur.Nanoseconds())/float64(len(test)),
+			float64(len(test))/singleDur.Seconds())
+		fmt.Printf("B=%-5d: %8.0f ns/image  %8.0f images/sec  (%.2fx)\n", b,
 			float64(batchDur.Nanoseconds())/float64(len(test)),
 			float64(len(test))/batchDur.Seconds(),
-			serialDur.Seconds()/batchDur.Seconds())
+			singleDur.Seconds()/batchDur.Seconds())
 		if mismatches > 0 {
-			return fmt.Errorf("batch: %d images diverged bit-wise from the serial path", mismatches)
+			return fmt.Errorf("batch: %d images diverged bit-wise from B=1", mismatches)
 		}
-		fmt.Printf("bit-identity: all %d batched outputs match the serial path exactly\n", len(test))
+		fmt.Printf("bit-identity: all %d outputs at B=%d match B=1 exactly\n", len(test), b)
 		return nil
 	case "ablate":
 		workloads, err := expt.DigitWorkloads(opt.Train)

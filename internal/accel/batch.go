@@ -4,418 +4,219 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/crossbar"
-	"repro/internal/fixed"
 	"repro/internal/nn"
-	"repro/internal/noise"
 	"repro/internal/stats"
 )
 
-// batchKernel is the scratch shared across the images of one batched MVM:
-// the flat level-major count buffer and accumulators of the fused
-// multi-image bit-plane kernel, plus small per-image gather slices. One
-// batchKernel belongs to one Session (coordinator goroutine); the per-image
-// state lives in ordinary per-lane Scratch arenas.
-type batchKernel struct {
-	counts []int
-	accs   []noise.AggAccum
-	sets   [][][]uint64
-	scales []float64
-	vsums  []int64
-}
-
-func (k *batchKernel) countsFor(n int) []int {
-	if cap(k.counts) < n {
-		k.counts = make([]int, n)
-	}
-	return k.counts[:n]
-}
-
-func (k *batchKernel) accsFor(n int) []noise.AggAccum {
-	if cap(k.accs) < n {
-		k.accs = make([]noise.AggAccum, n)
-	}
-	return k.accs[:n]
-}
-
-func (k *batchKernel) setsFor(n int) [][][]uint64 {
-	if cap(k.sets) < n {
-		k.sets = make([][][]uint64, n)
-	}
-	return k.sets[:n]
-}
-
-func (k *batchKernel) scalesFor(n int) []float64 {
-	if cap(k.scales) < n {
-		k.scales = make([]float64, n)
-	}
-	return k.scales[:n]
-}
-
-func (k *batchKernel) vsumsFor(n int) []int64 {
-	if cap(k.vsums) < n {
-		k.vsums = make([]int64, n)
-	}
-	return k.vsums[:n]
-}
-
-// precomputeBatch is group.precompute for B images at once: one walk of
-// each row's level list and fault-shaped masks feeds all B images' plane
-// aggregations (the masks differ per image; the level lists, per-level
-// noise terms, and CDF tables are shared). Each image's aggregates land in
-// its own Scratch arena exactly as the serial precompute would have left
-// them, bit for bit, so group.read runs unchanged on top.
-func (g *group) precomputeBatch(m *MappedMatrix, subs []*Scratch, kn *batchKernel) {
-	rows := g.arr.Rows
-	planes := len(subs[0].masks)
-	stride := len(subs) * planes
-	counts := kn.countsFor(g.arr.NumLevels() * stride)
-	accs := kn.accsFor(stride)
-	sets := kn.setsFor(len(subs))
-	for i, sub := range subs {
-		sets[i] = sub.masks
-		sub.aggTsFor(planes * rows)
-	}
-	for r := 0; r < rows; r++ {
-		g.arr.ActiveCountsBatch(r, sets, counts)
-		lv := g.arr.LevelList(r)
-		m.sampler.AccumulateRowLevelsBatch(lv, counts, accs)
-		j := 0
-		for _, sub := range subs {
-			for b := 0; b < planes; b++ {
-				agg, t := m.sampler.FinishAccum(&accs[j])
-				sub.aggs[b*rows+r] = agg
-				sub.ts[b*rows+r] = t
-				j++
-			}
-		}
-	}
-}
-
-// MVMBatchInto evaluates W*x for B images in one pass over the mapped
-// arrays. Per image it is bit-identical to MVMInto with that image's rng
-// and scratch: the deterministic precompute is fused across the batch
-// (touching no RNG), while the stochastic row reads run per image, in
-// batch order within each (chunk, group), each on its own rng — so every
-// image's draw sequence is exactly its serial sequence. outs/xs/rngs/subs/
-// sts are aligned per image; each outs[i] must have the output dimension
-// and each subs[i] is that image's private arena. kn is the shared batch
-// kernel scratch. Warm arenas make the whole call allocation-free.
-func (m *MappedMatrix) MVMBatchInto(outs, xs [][]float64, rngs []*stats.FastRand, subs []*Scratch, sts []*Stats, kn *batchKernel) {
-	for i, x := range xs {
-		if len(x) != m.inDim {
-			panic(fmt.Sprintf("accel: batch input %d length %d, want %d", i, len(x), m.inDim))
-		}
-		if len(outs[i]) != m.outDim {
-			panic(fmt.Sprintf("accel: batch output %d length %d, want %d", i, len(outs[i]), m.outDim))
-		}
-	}
-	scales := kn.scalesFor(len(xs))
-	vsums := kn.vsumsFor(len(xs))
-	for i, x := range xs {
-		qx := fixed.QuantizeUnsignedInto(subs[i].qvals, x, m.cfg.InputBits)
-		subs[i].qvals = qx.Values
-		scales[i] = qx.Scale
-	}
-	internalOut := m.outDim
-	if m.cfg.Encoding == EncodingDifferential {
-		internalOut = 2 * m.outDim
-	}
-	for _, sub := range subs {
-		sub.accFor(internalOut)
-	}
-	bsn := m.sampler.BinomSnapshot()
-	for _, ch := range m.chunks {
-		for i, sub := range subs {
-			vals := sub.qvals[ch.colLo:ch.colHi]
-			sub.masks = crossbar.InputMasksInto(sub.masks, vals, m.cfg.InputBits)
-			var vsum int64
-			for _, v := range vals {
-				vsum += int64(v)
-			}
-			vsums[i] = vsum
-		}
-		for _, g := range ch.groups {
-			g.precomputeBatch(m, subs, kn)
-			for i, sub := range subs {
-				for b := range sub.masks {
-					lanes := g.read(m, sub, b, rngs[i], &bsn, sts[i])
-					for li, outRow := range g.outRows {
-						sub.acc[outRow] += int64(lanes[li]) << uint(b)
-					}
-				}
-			}
-		}
-		if m.cfg.Encoding == EncodingOffsetBinary {
-			for i, sub := range subs {
-				bias := fixed.BiasCorrection(m.cfg.WeightBits, vsums[i])
-				for r := range sub.acc {
-					sub.acc[r] -= bias
-				}
-			}
-		}
-	}
-	for i, out := range outs {
-		f := m.scale * scales[i]
-		acc := subs[i].acc
-		for r := range out {
-			if m.cfg.Encoding == EncodingDifferential {
-				out[r] = float64(acc[2*r]-acc[2*r+1]) * f
-			} else {
-				out[r] = float64(acc[r]) * f
-			}
-		}
-	}
-}
-
-// batchLane is one image slot of a session's batch arena: its noise RNG,
-// its private scratch arena, and its stats — the per-image state a serial
-// Session keeps once, replicated per batch position so image i's evaluation
-// stays a pure function of (engine, streams[i]) regardless of batchmates.
+// batchLane is one evaluation slot of a session: its noise RNG, its
+// private scratch arena, and its stats. Lane 0 serves single-image calls;
+// lane i serves image i of a batch, so image i's evaluation stays a pure
+// function of (engine, its stream) regardless of batchmates.
 type batchLane struct {
-	src   *rand.PCG
-	rng   *stats.FastRand
-	scr   *Scratch
-	stats Stats
+	src *rand.PCG
+	rng *stats.FastRand
+	scr *Scratch
+	// stats is the lane total; lane 0's points at Session.Stats.
+	stats *Stats
+	// layer is indexed by layer position.
 	layer []Stats
 }
 
-// BatchArena is the batch-shaped growth of the session scratch arena:
-// per-image lanes plus the shared batch-kernel scratch and the compaction
-// buffers of the batched slot dispatch. It grows with the largest batch
-// seen and never shrinks, so steady-state batched traffic allocates
-// nothing.
-type BatchArena struct {
+// laneArena is a session's lane set plus the gather buffers of the lane
+// dispatch. It grows with the largest batch seen and never shrinks, so
+// steady-state traffic allocates nothing.
+type laneArena struct {
 	lanes []*batchLane
-	kn    batchKernel
 
-	// per-call gather state (valid during one batched slot dispatch)
+	// per-call gather state (valid during one dispatch)
 	outs  [][]float64
 	errs  []error
-	vxs   [][]float64
-	vouts [][]float64
-	vrngs []*stats.FastRand
-	vsubs []*Scratch
-	vsts  []*Stats
-	vj    []int
-	pre   []Stats
+	diffs []Stats
+	ims   []BatchImage
+	// one holds MVMLanes' arguments for a single image on lane 0.
+	one struct {
+		idx   [1]int
+		xs    [1][]float64
+		outs  [1][]float64
+		diffs [1]Stats
+	}
+}
+
+// newLane builds a lane drawing from stream seed and totalling into st.
+func (s *Session) newLane(seed uint64, st *Stats) *batchLane {
+	src := stats.SubPCG(s.engine.cfg.Seed, seed)
+	return &batchLane{src: src, rng: stats.NewFastRand(src), scr: NewScratch(),
+		stats: st, layer: make([]Stats, len(s.engine.slots))}
 }
 
 // lanesFor grows the arena to at least n lanes.
-func (ba *BatchArena) lanesFor(s *Session, n int) []*batchLane {
-	for len(ba.lanes) < n {
-		src := stats.SubPCG(s.engine.cfg.Seed, 0)
-		ba.lanes = append(ba.lanes, &batchLane{
-			src:   src,
-			rng:   stats.NewFastRand(src),
-			scr:   NewScratch(),
-			layer: make([]Stats, len(s.engine.slots)),
-		})
+func (s *Session) lanesFor(n int) []*batchLane {
+	for len(s.ba.lanes) < n {
+		s.ba.lanes = append(s.ba.lanes, s.newLane(0, &Stats{}))
 	}
-	return ba.lanes[:n]
+	return s.ba.lanes[:n]
 }
 
-func (ba *BatchArena) outsFor(n int) [][]float64 {
+func (ba *laneArena) outsFor(n int) ([][]float64, []Stats) {
 	if cap(ba.outs) < n {
 		ba.outs = make([][]float64, n)
+		ba.diffs = make([]Stats, n)
 	}
-	ba.outs = ba.outs[:n]
-	for i := range ba.outs {
-		ba.outs[i] = nil
-	}
-	return ba.outs
+	return ba.outs[:n], ba.diffs[:n]
 }
 
-func (ba *BatchArena) errsFor(n int) []error {
+func (ba *laneArena) errsFor(n int) []error {
 	if cap(ba.errs) < n {
 		ba.errs = make([]error, n)
 	}
 	ba.errs = ba.errs[:n]
-	for i := range ba.errs {
-		ba.errs[i] = nil
-	}
+	clear(ba.errs)
 	return ba.errs
 }
 
-// ensureBatch lazily builds the session's batch machinery: the lockstep
-// forward batcher over per-lane network clones, and the batch arena.
-func (s *Session) ensureBatch() {
-	if s.fb == nil {
-		e := s.engine
-		s.fb = nn.NewForwardBatcher(e.InferenceNet, e.Layers())
-		s.ba = &BatchArena{}
+// MVMLanes evaluates one mapped layer for several lanes in a single pass
+// over the layer's arrays — the one dispatch behind Forward, MVMLayer,
+// ForwardBatch, and the replica router. idx[j] selects the lane evaluating
+// xs[j] (distinct lanes; the arena grows to cover them); when streams is
+// non-nil, streams[j] first reseeds that lane exactly as Reseed reseeds
+// lane 0. outs[j] receives the output, aliasing the lane's arena and valid
+// until that lane's next MVM, and diffs[j] this call's ECU stats, which
+// also merge into the lane's totals. batched marks a multi-image pass and
+// counts Stats.BatchMVMs. The result is nil unless some image failed — the
+// layer is not mapped, or its input has the wrong length — in which case
+// errs[j] says why and outs[j] is nil; batchmates are unaffected. Engine
+// mutators (Remap, Retune, fault injection, scrub) may run concurrently.
+func (s *Session) MVMLanes(layer int, idx []int, streams []uint64, xs, outs [][]float64, diffs []Stats, batched bool) []error {
+	high := 0
+	for _, i := range idx {
+		high = max(high, i+1)
 	}
+	lanes := s.lanesFor(high)
+	if streams != nil {
+		for j, i := range idx {
+			stats.ReseedSub(lanes[i].src, s.engine.cfg.Seed, streams[j])
+		}
+	}
+	ba := &s.ba
+	sl := s.engine.slot(layer)
+	if sl == nil {
+		errs := ba.errsFor(len(idx))
+		for j := range errs {
+			errs[j] = fmt.Errorf("accel: layer %d is not mapped", layer)
+			outs[j] = nil
+		}
+		return errs
+	}
+	sl.mu.RLock()
+	defer sl.mu.RUnlock()
+	var errs []error
+	if sl.fallback {
+		for j, x := range xs {
+			diffs[j] = Stats{SoftMVMs: 1}
+			outs[j] = sl.soft.MVM(x)
+		}
+	} else {
+		m := sl.m
+		ba.ims = ba.ims[:0]
+		for j, x := range xs {
+			diffs[j] = Stats{}
+			if len(x) != m.inDim {
+				if errs == nil {
+					errs = ba.errsFor(len(idx))
+				}
+				errs[j] = fmt.Errorf("accel: input length %d, want %d", len(x), m.inDim)
+				outs[j] = nil
+				continue
+			}
+			lane := lanes[idx[j]]
+			outs[j] = lane.scr.outFor(m.outDim)
+			ba.ims = append(ba.ims, BatchImage{X: x, Out: outs[j], RNG: lane.rng, Scr: lane.scr, St: &diffs[j]})
+		}
+		if len(ba.ims) > 0 {
+			m.MVMBatchInto(ba.ims)
+		}
+	}
+	for j, i := range idx {
+		if errs != nil && errs[j] != nil {
+			continue
+		}
+		if batched && !sl.fallback {
+			diffs[j].BatchMVMs = 1
+		}
+		lane := lanes[i]
+		lane.layer[layer].Merge(diffs[j])
+		lane.stats.Merge(diffs[j])
+	}
+	return errs
+}
+
+// MVMLayer evaluates one mapped layer's matrix-vector product on lane 0,
+// returning the output and the ECU stats of this call alone (also merged
+// into the session totals, exactly like a Forward-pass MVM). The returned
+// slice aliases lane 0's scratch arena and is valid until its next MVM.
+// Panics if the layer is not mapped or x has the wrong length, like the
+// Forward-pass MVM. This is the unit of spatial retry: sibling replicas map
+// the same layer shapes but may choose different per-array codes, so the
+// layer MVM is the smallest operation with identical semantics on every
+// replica.
+func (s *Session) MVMLayer(layer int, x []float64) ([]float64, Stats) {
+	one := &s.ba.one
+	one.xs[0] = x
+	if errs := s.MVMLanes(layer, one.idx[:], nil, one.xs[:], one.outs[:], one.diffs[:], false); errs != nil {
+		panic(errs[0])
+	}
+	return one.outs[0], one.diffs[0]
 }
 
 // ForwardBatch runs one noisy inference per input, batched: the images
 // advance in lockstep through the network, and at every mapped layer all
 // of them are evaluated in a single multi-image pass over the shared
-// arrays (one level-list walk per row per batch). streams[i] seeds image
-// i's noise lane exactly as Reseed(streams[i]) would a serial session, so
-// outs[i] is bit-identical to a serial Reseed+Forward of the same stream —
-// the batch-size-invariance contract. errs[i] is non-nil (and outs[i] nil)
-// when image i alone failed (e.g. a shape mismatch); batchmates are
-// unaffected. Outputs and slices are valid until the session's next
-// ForwardBatch. The caller owns the session; concurrent use is not
-// allowed, but engine mutators (Remap, Retune, fault injection, scrub) may
-// run concurrently as with serial Forward.
+// arrays (one level-list walk per row per batch). streams[i] seeds lane i
+// exactly as Reseed(streams[i]) seeds lane 0, so outs[i] is bit-identical
+// to Reseed(streams[i]) + Forward(xs[i]) — the batch-size-invariance
+// contract. errs[i] is non-nil (and outs[i] nil) when image i alone failed
+// (e.g. a shape mismatch); batchmates are unaffected. Outputs and slices
+// are valid until the session's next ForwardBatch. The caller owns the
+// session; concurrent use is not allowed, but engine mutators (Remap,
+// Retune, fault injection, scrub) may run concurrently as with Forward.
 func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
 	if len(streams) != len(xs) {
 		panic(fmt.Sprintf("accel: %d inputs, %d streams", len(xs), len(streams)))
 	}
-	s.ensureBatch()
-	for i, lane := range s.ba.lanesFor(s, len(xs)) {
+	if s.fb == nil {
+		s.fb = nn.NewForwardBatcher(s.engine.InferenceNet, s.engine.Layers())
+	}
+	for i, lane := range s.lanesFor(len(xs)) {
 		stats.ReseedSub(lane.src, s.engine.cfg.Seed, streams[i])
 	}
-	return s.fb.Run(xs, s.batchMVM)
+	return s.fb.Run(xs, s.batchLayer)
 }
 
-// batchMVM is the coordinator-side multi-image layer dispatch behind
-// ForwardBatch: all stochastic draws happen here, on the caller's
-// goroutine, image-ordered — never on the lane goroutines.
-func (s *Session) batchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
-	sl := s.engine.slot(layer)
-	ba := s.ba
-	if sl == nil {
-		errs := ba.errsFor(len(idx))
-		for j := range errs {
-			errs[j] = fmt.Errorf("accel: layer %d is not mapped", layer)
-		}
-		return nil, errs
-	}
-	outs := ba.outsFor(len(idx))
-	sl.mu.RLock()
-	defer sl.mu.RUnlock()
-	if sl.fallback {
-		for j, x := range xs {
-			lane := ba.lanes[idx[j]]
-			ls := &lane.layer[layer]
-			pre := *ls
-			ls.SoftMVMs++
-			outs[j] = sl.soft.MVM(x)
-			lane.stats.Merge(ls.Diff(pre))
-		}
-		return outs, nil
-	}
-	m := sl.m
-	// Validate per image so one malformed input degrades to a per-image
-	// error instead of failing its batchmates.
-	var errs []error
-	ba.vxs, ba.vouts, ba.vrngs, ba.vsubs, ba.vsts = ba.vxs[:0], ba.vouts[:0], ba.vrngs[:0], ba.vsubs[:0], ba.vsts[:0]
-	ba.vj, ba.pre = ba.vj[:0], ba.pre[:0]
-	for j, x := range xs {
-		if len(x) != m.inDim {
-			if errs == nil {
-				errs = ba.errsFor(len(idx))
-			}
-			errs[j] = fmt.Errorf("accel: input length %d, want %d", len(x), m.inDim)
-			continue
-		}
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ba.vj = append(ba.vj, j)
-		ba.pre = append(ba.pre, *ls)
-		ba.vxs = append(ba.vxs, x)
-		ba.vouts = append(ba.vouts, lane.scr.outFor(m.outDim))
-		ba.vrngs = append(ba.vrngs, lane.rng)
-		ba.vsubs = append(ba.vsubs, lane.scr)
-		ba.vsts = append(ba.vsts, ls)
-	}
-	if len(ba.vxs) > 0 {
-		m.MVMBatchInto(ba.vouts, ba.vxs, ba.vrngs, ba.vsubs, ba.vsts, &ba.kn)
-	}
-	for k, j := range ba.vj {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ls.BatchMVMs++
-		lane.stats.Merge(ls.Diff(ba.pre[k]))
-		outs[j] = ba.vouts[k]
-	}
-	return outs, errs
-}
-
-// MVMLayerBatch is MVMLayer for several batch lanes at once — the unit the
-// replica router batches at. idx[j] selects the lane evaluating image j,
-// streams[j] reseeds that lane (the caller derives the per-(image, layer)
-// stream exactly as its serial path would), and outs[j]/diffs[j] receive
-// the output and this call's ECU stats. Outputs alias each lane's arena
-// and are valid until that lane's next MVM. Panics if the layer is not
-// mapped, like MVMLayer.
-func (s *Session) MVMLayerBatch(layer int, idx []int, streams []uint64, xs [][]float64, outs [][]float64, diffs []Stats) {
-	sl := s.engine.slot(layer)
-	if sl == nil {
-		panic(fmt.Sprintf("accel: layer %d is not mapped", layer))
-	}
-	s.ensureBatch()
-	ba := s.ba
-	high := 0
-	for _, i := range idx {
-		if i >= high {
-			high = i + 1
-		}
-	}
-	ba.lanesFor(s, high)
-	for j, i := range idx {
-		stats.ReseedSub(ba.lanes[i].src, s.engine.cfg.Seed, streams[j])
-	}
-	sl.mu.RLock()
-	defer sl.mu.RUnlock()
-	if sl.fallback {
-		for j, x := range xs {
-			lane := ba.lanes[idx[j]]
-			ls := &lane.layer[layer]
-			pre := *ls
-			ls.SoftMVMs++
-			outs[j] = sl.soft.MVM(x)
-			diffs[j] = ls.Diff(pre)
-			lane.stats.Merge(diffs[j])
-		}
-		return
-	}
-	m := sl.m
-	ba.vouts, ba.vrngs, ba.vsubs, ba.vsts, ba.pre = ba.vouts[:0], ba.vrngs[:0], ba.vsubs[:0], ba.vsts[:0], ba.pre[:0]
-	for j := range xs {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ba.pre = append(ba.pre, *ls)
-		ba.vouts = append(ba.vouts, lane.scr.outFor(m.outDim))
-		ba.vrngs = append(ba.vrngs, lane.rng)
-		ba.vsubs = append(ba.vsubs, lane.scr)
-		ba.vsts = append(ba.vsts, ls)
-	}
-	m.MVMBatchInto(ba.vouts, xs, ba.vrngs, ba.vsubs, ba.vsts, &ba.kn)
-	for j := range xs {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ls.BatchMVMs++
-		diffs[j] = ls.Diff(ba.pre[j])
-		lane.stats.Merge(diffs[j])
-		outs[j] = ba.vouts[j]
-	}
+// batchLayer adapts MVMLanes to the lockstep batcher: all stochastic draws
+// happen here, on the caller's goroutine, image-ordered — never on the
+// batcher's lane goroutines.
+func (s *Session) batchLayer(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
+	outs, diffs := s.ba.outsFor(len(idx))
+	return outs, s.MVMLanes(layer, idx, nil, xs, outs, diffs, true)
 }
 
 // DrainBatchStats returns lane i's accumulated stats since the last drain
-// and resets them (per-layer tallies included) — the batched counterpart
-// of DrainStats, letting a serving worker attribute ECU activity to the
-// individual images of a coalesced batch.
+// and resets them (per-layer tallies included), letting a serving worker
+// attribute ECU activity to the individual images of a coalesced batch.
+// Lane 0 is the single-image lane, so DrainBatchStats(0) is DrainStats.
 func (s *Session) DrainBatchStats(i int) Stats {
-	s.ensureBatch()
-	lane := s.ba.lanesFor(s, i+1)[i]
-	st := lane.stats
-	lane.stats = Stats{}
-	for l := range lane.layer {
-		lane.layer[l] = Stats{}
-	}
+	lane := s.lanesFor(i + 1)[i]
+	st := *lane.stats
+	*lane.stats = Stats{}
+	clear(lane.layer)
 	return st
 }
 
 // DrainBatchLayerStatsInto drains lane i's per-layer stats into a
-// caller-owned map (cleared first), mirroring DrainLayerStatsInto. Drain
-// it before DrainBatchStats for the same lane — DrainBatchStats resets
-// the per-layer tallies too.
+// caller-owned map (cleared first). Drain it before DrainBatchStats for
+// the same lane — DrainBatchStats resets the per-layer tallies too.
 func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]Stats) {
-	s.ensureBatch()
-	lane := s.ba.lanesFor(s, i+1)[i]
+	lane := s.lanesFor(i + 1)[i]
 	clear(out)
 	for l := range lane.layer {
 		if lane.layer[l] != (Stats{}) {
@@ -425,20 +226,21 @@ func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]Stats) {
 	}
 }
 
-// Close releases the session's batch machinery (parked lane goroutines).
-// A session that never called ForwardBatch has nothing to release. The
-// serial path stays usable after Close; the batched path re-arms lazily.
+// Close releases the session's batch machinery: the lockstep batcher's
+// parked lane goroutines and every lane but lane 0. Single-image calls
+// stay usable after Close; the batched path re-arms lazily.
 func (s *Session) Close() {
 	if s.fb != nil {
 		s.fb.Close()
 		s.fb = nil
-		s.ba = nil
 	}
+	clear(s.ba.lanes[1:])
+	s.ba.lanes = s.ba.lanes[:1]
 }
 
 // ForwardBatch is the one-shot convenience over a throwaway session: map
 // callers that do not hold a session can still run one batched pass.
-// outs[i] is bit-identical to a serial session's Reseed(streams[i]) +
+// outs[i] is bit-identical to a session's Reseed(streams[i]) +
 // Forward(xs[i]).
 func (e *Engine) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
 	s := e.NewSession(0)

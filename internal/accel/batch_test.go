@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -141,10 +142,11 @@ func TestForwardBatchPerImageFailure(t *testing.T) {
 	}
 }
 
-// TestMVMLayerBatchMatchesSerial: the replica router's batched layer MVM
-// must be bit- and stats-identical to per-image MVMLayer under the same
-// derived streams.
-func TestMVMLayerBatchMatchesSerial(t *testing.T) {
+// TestMVMLanesMatchesSerial: the multi-lane layer dispatch the replica
+// router batches through must be bit- and stats-identical to per-image
+// MVMLayer under the same derived streams, and count BatchMVMs only when
+// asked to.
+func TestMVMLanesMatchesSerial(t *testing.T) {
 	eng, _ := batchTestEngine(t)
 	layer := eng.Layers()[0]
 	m := eng.Mapped(layer)
@@ -178,7 +180,9 @@ func TestMVMLayerBatchMatchesSerial(t *testing.T) {
 	defer sess.Close()
 	outs := make([][]float64, B)
 	diffs := make([]Stats, B)
-	sess.MVMLayerBatch(layer, idx, streams, xs, outs, diffs)
+	if errs := sess.MVMLanes(layer, idx, streams, xs, outs, diffs, true); errs != nil {
+		t.Fatalf("MVMLanes failed: %v", errs)
+	}
 	for i := range xs {
 		if len(outs[i]) != m.outDim {
 			t.Fatalf("image %d: out dim %d", i, len(outs[i]))
@@ -196,6 +200,13 @@ func TestMVMLayerBatchMatchesSerial(t *testing.T) {
 		if d != wantSt[i] {
 			t.Fatalf("image %d stats: %+v vs %+v", i, d, wantSt[i])
 		}
+	}
+	// A single-image dispatch is not a batched pass.
+	if errs := sess.MVMLanes(layer, idx[:1], streams[:1], xs[:1], outs, diffs, false); errs != nil {
+		t.Fatalf("MVMLanes failed: %v", errs)
+	}
+	if diffs[0] != wantSt[0] {
+		t.Fatalf("unbatched lane stats %+v, want %+v", diffs[0], wantSt[0])
 	}
 }
 
@@ -412,4 +423,94 @@ func BenchmarkForwardBatch(b *testing.B) {
 			b.Fatal(errs[0])
 		}
 	}
+}
+
+// TestLaneZeroInterleaving: single-image calls run on lane 0, which is also
+// image 0's lane of every batch, so a session that interleaves ForwardBatch
+// with Reseed+Forward — in either order — must return exactly the logits
+// and stats of fresh sessions running each call alone.
+func TestLaneZeroInterleaving(t *testing.T) {
+	// A wide layer with giant-RTN-prone cells, so every image sees row
+	// errors, corrections, detections and retries: any RNG state leaking
+	// between lanes changes the stats.
+	rng := rand.New(rand.NewPCG(8, 9))
+	net := &nn.Network{Name: "wide", InShape: []int{256},
+		Layers: []nn.Layer{nn.NewDense(256, 16, rng), &nn.ReLU{}, nn.NewDense(16, 4, rng)}}
+	cfg := DefaultConfig(SchemeABN(9))
+	cfg.Device.BitsPerCell = 2
+	cfg.Device.GiantProneProb = 0.01
+	eng, err := Map(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*nn.Tensor, 10)
+	for i := range xs {
+		xs[i] = nn.NewTensor(256)
+		for j := range xs[i].Data {
+			xs[i].Data[j] = rng.Float64()
+		}
+	}
+	streams := []uint64{900, 901, 902, 903}
+	type result struct {
+		logits [][]float64
+		stats  []Stats
+	}
+	single := func(s *Session) result {
+		var r result
+		for i, stream := range streams[:2] {
+			s.Reseed(stream + 50)
+			r.logits = append(r.logits, append([]float64(nil), s.Forward(xs[8+i]).Data...))
+			r.stats = append(r.stats, s.DrainStats())
+		}
+		return r
+	}
+	batch := func(s *Session) result {
+		var r result
+		outs, errs := s.ForwardBatch(xs[:len(streams)], streams)
+		for i, out := range outs {
+			if errs[i] != nil {
+				t.Fatalf("image %d: %v", i, errs[i])
+			}
+			r.logits = append(r.logits, append([]float64(nil), out.Data...))
+			r.stats = append(r.stats, s.DrainBatchStats(i))
+		}
+		return r
+	}
+	check := func(what string, got, want result) {
+		t.Helper()
+		for i := range want.logits {
+			for j, v := range want.logits[i] {
+				if math.Float64bits(got.logits[i][j]) != math.Float64bits(v) {
+					t.Fatalf("%s: image %d logit %d: %v, fresh session %v", what, i, j, got.logits[i][j], v)
+				}
+			}
+			if got.stats[i] != want.stats[i] {
+				t.Fatalf("%s: image %d stats %+v, fresh session %+v", what, i, got.stats[i], want.stats[i])
+			}
+		}
+	}
+	fresh := func() *Session {
+		s := eng.NewSession(3)
+		t.Cleanup(s.Close)
+		return s
+	}
+	wantSingle, wantBatch := single(fresh()), batch(fresh())
+	if wantSingle.stats[0].BatchMVMs != 0 || wantBatch.stats[0].BatchMVMs == 0 {
+		t.Fatalf("BatchMVMs must count batched passes only: single %+v, batch %+v",
+			wantSingle.stats[0], wantBatch.stats[0])
+	}
+	for _, st := range append(wantSingle.stats, wantBatch.stats...) {
+		if st.RowErrors == 0 || st.Retries == 0 {
+			t.Fatalf("engine too quiet to expose RNG leaks: %+v", st)
+		}
+	}
+
+	s := fresh()
+	check("batch first", batch(s), wantBatch)
+	check("single after batch", single(s), wantSingle)
+
+	s = fresh()
+	check("single first", single(s), wantSingle)
+	check("batch after single", batch(s), wantBatch)
+	check("single after both", single(s), wantSingle)
 }

@@ -45,6 +45,7 @@ func TestDebugGroupReadAccuracy(t *testing.T) {
 	srng := stats.NewFast(7)
 	bsn := m.sampler.BinomSnapshot()
 	scr := NewScratch()
+	ims := []BatchImage{{Scr: scr}}
 	var st Stats
 	bad, total, clean := 0, 0, 0
 	exactWrongByStatus := map[string]int{}
@@ -66,7 +67,7 @@ func TestDebugGroupReadAccuracy(t *testing.T) {
 
 		before := st
 		scr.masks = [][]uint64{mask}
-		g.precompute(m, scr)
+		g.precomputeBatch(m, ims)
 		lanes := g.read(m, scr, 0, srng, &bsn, &st)
 		status := "clean"
 		if st.Corrected > before.Corrected {
@@ -145,6 +146,7 @@ func TestDebugTrainedLayerReads(t *testing.T) {
 	srng := stats.NewFast(7)
 	bsn := m.sampler.BinomSnapshot()
 	scr := NewScratch()
+	ims := []BatchImage{{Scr: scr}}
 	var st Stats
 	var lastRaw, lastFixed core.Word
 	var lastStatus core.Status
@@ -187,7 +189,7 @@ func TestDebugTrainedLayerReads(t *testing.T) {
 				q, _ := g.code.Decode(exact)
 				want := g.layout.Unpack(q)
 				scr.masks = [][]uint64{mask}
-				g.precompute(m, scr)
+				g.precomputeBatch(m, ims)
 				got := g.read(m, scr, 0, srng, &bsn, &st)
 				totalReads++
 				for i := range got {

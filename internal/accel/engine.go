@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 
 	"repro/internal/crossbar"
@@ -43,21 +42,6 @@ type layerSlot struct {
 	rebuild func(dev noise.DeviceParams, seed uint64) (*MappedMatrix, error)
 	// mkSoft builds the fallback matrix lazily on first degradation.
 	mkSoft func() (*SoftMatrix, error)
-}
-
-// mvm evaluates one matrix-vector product through the slot's current path.
-// The returned slice aliases the scratch arena (or, on the software
-// fallback, a fresh allocation) and is valid until the arena's next MVM.
-func (sl *layerSlot) mvm(x []float64, rng *stats.FastRand, scr *Scratch, st *Stats) []float64 {
-	sl.mu.RLock()
-	defer sl.mu.RUnlock()
-	if sl.fallback {
-		st.SoftMVMs++
-		return sl.soft.MVM(x)
-	}
-	out := scr.outFor(sl.m.outDim)
-	sl.m.MVMInto(out, x, rng, scr, st)
-	return out
 }
 
 // Engine holds a network whose dense and convolutional layers have been
@@ -392,89 +376,70 @@ func (e *Engine) DegradedLayers() []int {
 	return out
 }
 
-// Session is one concurrent evaluation stream: it owns an RNG, a scratch
-// arena, a forward-pass clone of the network, and its own statistics.
+// Session is one concurrent evaluation stream: a forward-pass clone of the
+// network plus evaluation lanes, each with its own RNG, scratch arena, and
+// statistics (see batch.go). Lane 0 serves every single-image call —
+// Forward, MVMLayer, Reseed, the drains — and image 0 of each batch, so a
+// single image is simply a batch of one.
 type Session struct {
 	engine *Engine
 	net    *nn.Network
-	// src is the PCG state behind rng; Reseed rewinds it in place instead
-	// of allocating a fresh generator per work item.
-	src *rand.PCG
-	rng *stats.FastRand
-	scr *Scratch
-	// mvms is indexed by layer (nil for unmapped layers).
+	// mvms is indexed by layer (nil for unmapped layers); each evaluates
+	// one image on lane 0.
 	mvms []nn.MVMFunc
-	// layer is indexed by layer (nil for unmapped layers).
-	layer []*Stats
-	// Stats accumulates ECU and row-error tallies across all inputs this
-	// session evaluated.
+	// Stats accumulates lane 0's ECU and row-error tallies: every
+	// single-image evaluation, and image 0 of each ForwardBatch.
 	Stats Stats
-	// fb and ba are the lazily armed batched-forward machinery (see
-	// batch.go): the lockstep forward batcher over per-lane network clones
-	// and the batch-shaped scratch arena. Nil until the first ForwardBatch.
+	// ba holds the evaluation lanes and the dispatch's gather scratch.
+	ba laneArena
+	// fb is the lockstep forward batcher over per-lane network clones,
+	// armed by the first ForwardBatch.
 	fb *nn.ForwardBatcher
-	ba *BatchArena
 }
 
-// NewSession creates an evaluation stream with its own noise RNG.
+// NewSession creates an evaluation stream whose lane 0 draws its noise
+// from seed.
 func (e *Engine) NewSession(seed uint64) *Session {
-	src := stats.SubPCG(e.cfg.Seed, seed)
 	s := &Session{
 		engine: e,
 		net:    e.net.CloneForInference(),
-		src:    src,
-		rng:    stats.NewFastRand(src),
-		scr:    NewScratch(),
 		mvms:   make([]nn.MVMFunc, len(e.slots)),
-		layer:  make([]*Stats, len(e.slots)),
 	}
+	s.ba.lanes = []*batchLane{s.newLane(seed, &s.Stats)}
 	s.net.EnableBufferReuse()
 	for idx, sl := range e.slots {
 		if sl == nil {
 			continue
 		}
-		slot := sl
-		ls := &Stats{}
-		s.layer[idx] = ls
+		layer := idx
 		s.mvms[idx] = func(x []float64) []float64 {
-			pre := *ls
-			out := slot.mvm(x, s.rng, s.scr, ls)
-			s.Stats.Merge(ls.Diff(pre))
+			out, _ := s.MVMLayer(layer, x)
 			return out
 		}
 	}
 	return s
 }
 
-// Reseed repoints the session's noise stream, so callers can key the
-// stream to work items (for example one stream per test image) and make
-// results independent of how work is distributed across sessions.
+// Reseed repoints lane 0's noise stream, so callers can key the stream to
+// work items (for example one stream per test image) and make results
+// independent of how work is distributed across sessions.
 func (s *Session) Reseed(stream uint64) {
-	stats.ReseedSub(s.src, s.engine.cfg.Seed, stream)
+	stats.ReseedSub(s.ba.lanes[0].src, s.engine.cfg.Seed, stream)
 }
 
-// DrainStats returns the statistics accumulated since the last drain and
-// resets them (per-layer tallies included), so a serving worker can
+// DrainStats returns lane 0's statistics accumulated since the last drain
+// and resets them (per-layer tallies included), so a serving worker can
 // attribute ECU activity to individual requests. It must be called from
 // the goroutine that owns the session.
-func (s *Session) DrainStats() Stats {
-	st := s.Stats
-	s.Stats = Stats{}
-	for _, ls := range s.layer {
-		if ls != nil {
-			*ls = Stats{}
-		}
-	}
-	return st
-}
+func (s *Session) DrainStats() Stats { return s.DrainBatchStats(0) }
 
-// DrainLayerStats returns the per-layer statistics accumulated since the
-// last drain and resets them (the session totals in Stats are left alone —
-// drain those separately with DrainStats before re-use). Layers with no
-// activity are omitted. It must be called from the goroutine that owns the
-// session.
+// DrainLayerStats returns lane 0's per-layer statistics accumulated since
+// the last drain and resets them (the session totals in Stats are left
+// alone — drain those separately with DrainStats before re-use). Layers
+// with no activity are omitted. It must be called from the goroutine that
+// owns the session.
 func (s *Session) DrainLayerStats() map[int]Stats {
-	out := make(map[int]Stats, len(s.layer))
+	out := make(map[int]Stats, s.engine.mapped)
 	s.DrainLayerStatsInto(out)
 	return out
 }
@@ -484,15 +449,7 @@ func (s *Session) DrainLayerStats() map[int]Stats {
 // instead of allocating. The caller must not retain values across the next
 // drain unless it copies them — Stats is a value type, so ordinary reads
 // and Merge calls are safe.
-func (s *Session) DrainLayerStatsInto(out map[int]Stats) {
-	clear(out)
-	for idx, ls := range s.layer {
-		if ls != nil && *ls != (Stats{}) {
-			out[idx] = *ls
-			*ls = Stats{}
-		}
-	}
-}
+func (s *Session) DrainLayerStatsInto(out map[int]Stats) { s.DrainBatchLayerStatsInto(0, out) }
 
 // Forward runs one noisy inference pass.
 func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {

@@ -492,24 +492,38 @@ func staticCodeFor(cache map[int]*core.Code, layout core.GroupLayout, cell int, 
 // only; nil in production).
 var debugReadHook func(g *group, raw, corrected core.Word, status core.Status)
 
-// precompute runs the deterministic half of every row read of this group
-// for the current input masks: the fused per-plane active counts, their
-// noise aggregates, and the ideal ADC outputs, indexed plane*rows+row in
-// the scratch arena. It touches no RNG, so hoisting it out of the per-bit
-// read loop (and reusing it across ECU retry re-reads, which the old code
-// recomputed) cannot move a draw.
-func (g *group) precompute(m *MappedMatrix, scr *Scratch) {
+// precomputeBatch runs the deterministic half of every row read of this
+// group for B images at once: one walk of each row's level list and
+// fault-shaped masks feeds every image's per-plane active counts, their
+// noise aggregates, and the ideal ADC outputs (the masks differ per image;
+// the level lists, per-level noise terms, and CDF tables are shared). Each
+// image's results land in its own Scratch arena, indexed plane*rows+row. It
+// touches no RNG, so hoisting it out of the per-bit read loop (and reusing
+// it across ECU retry re-reads) cannot move a draw.
+func (g *group) precomputeBatch(m *MappedMatrix, ims []BatchImage) {
+	kn := &ims[0].Scr.kn
 	rows := g.arr.Rows
-	planes := len(scr.masks)
-	counts := scr.countsFor(planes, g.arr.NumLevels())
-	aggs, ts := scr.aggTsFor(planes * rows)
+	planes := len(ims[0].Scr.masks)
+	stride := len(ims) * planes
+	counts := kn.countsFor(g.arr.NumLevels() * stride)
+	accs := kn.accsFor(stride)
+	sets := kn.setsFor(len(ims))
+	for i, im := range ims {
+		sets[i] = im.Scr.masks
+		im.Scr.aggTsFor(planes * rows)
+	}
 	for r := 0; r < rows; r++ {
-		g.arr.ActiveCountsMulti(r, scr.masks, counts)
+		g.arr.ActiveCountsBatch(r, sets, counts)
 		lv := g.arr.LevelList(r)
-		for b := 0; b < planes; b++ {
-			agg, t := m.sampler.AggregateRowLevelsIdeal(lv, counts[b])
-			ts[b*rows+r] = t
-			aggs[b*rows+r] = agg
+		m.sampler.AccumulateRowLevelsBatch(lv, counts, accs)
+		j := 0
+		for _, im := range ims {
+			for b := 0; b < planes; b++ {
+				agg, t := m.sampler.FinishAccum(&accs[j])
+				im.Scr.aggs[b*rows+r] = agg
+				im.Scr.ts[b*rows+r] = t
+				j++
+			}
 		}
 	}
 }
@@ -517,9 +531,9 @@ func (g *group) precompute(m *MappedMatrix, scr *Scratch) {
 // read performs one group read under input bit plane `bit` of the masks in
 // the scratch arena: per-row noisy ADC sampling, shift-and-add reduction,
 // ECU correction (with re-reads on detected-uncorrectable errors if
-// configured), decode, and lane split. precompute must have run for the
-// current masks. The returned lanes alias the arena and are valid until the
-// next read.
+// configured), decode, and lane split. precomputeBatch must have run for
+// the current masks. The returned lanes alias the arena and are valid
+// until the next read.
 func (g *group) read(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand, sn *stats.BinomSnapshot, st *Stats) []uint64 {
 	var acc core.Word
 	var status core.Status
@@ -573,8 +587,8 @@ func (g *group) read(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand
 
 // sampleRows performs the per-row noisy ADC conversions of one group read
 // and reduces them with the shift-and-add tree. The deterministic
-// quantities come from precompute; only the noise draws happen here, in
-// exactly the historical order (binomial+Gaussian core, then giant
+// quantities come from precomputeBatch; only the noise draws happen here,
+// in exactly the historical order (binomial+Gaussian core, then giant
 // flickers, row-major).
 func (g *group) sampleRows(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand, sn *stats.BinomSnapshot, st *Stats) core.Word {
 	var acc core.Word
@@ -641,36 +655,80 @@ func (m *MappedMatrix) MVM(x []float64, rng *stats.FastRand, scr *Scratch, st *S
 	return out
 }
 
-// MVMInto is MVM writing into out (len must be the output dimension). A
-// warm arena makes the whole call allocation-free.
+// MVMInto is MVM writing into out (len must be the output dimension): a
+// batch of one through MVMBatchInto, over an argument slot held in the
+// scratch arena, so a warm arena makes the whole call allocation-free.
 func (m *MappedMatrix) MVMInto(out, x []float64, rng *stats.FastRand, scr *Scratch, st *Stats) {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("accel: input length %d, want %d", len(x), m.inDim))
+	scr.one[0] = BatchImage{X: x, Out: out, RNG: rng, Scr: scr, St: st}
+	m.MVMBatchInto(scr.one[:])
+}
+
+// BatchImage is one image's arguments to MVMBatchInto.
+type BatchImage struct {
+	// X is the input vector; Out receives the output and must have the
+	// output dimension.
+	X, Out []float64
+	// RNG draws this image's noise.
+	RNG *stats.FastRand
+	// Scr is this image's private arena; the first image's also hosts the
+	// batch-kernel scratch shared by the call.
+	Scr *Scratch
+	// St receives this image's ECU and row-error tallies.
+	St *Stats
+}
+
+// MVMBatchInto evaluates W*x for B images in one pass over the mapped
+// arrays — the only MVM kernel. Per image the result is a pure function of
+// (matrix, input, that image's RNG state): the deterministic precompute is
+// fused across the batch (touching no RNG), while the stochastic row reads
+// run per image, in batch order within each (chunk, group), each on its
+// own RNG — so every image's draw sequence is exactly what it would be in
+// a batch of one. Warm arenas make the whole call allocation-free.
+func (m *MappedMatrix) MVMBatchInto(ims []BatchImage) {
+	for i, im := range ims {
+		if len(im.X) != m.inDim {
+			panic(fmt.Sprintf("accel: input %d length %d, want %d", i, len(im.X), m.inDim))
+		}
+		if len(im.Out) != m.outDim {
+			panic(fmt.Sprintf("accel: output %d length %d, want %d", i, len(im.Out), m.outDim))
+		}
 	}
-	if len(out) != m.outDim {
-		panic(fmt.Sprintf("accel: output length %d, want %d", len(out), m.outDim))
+	kn := &ims[0].Scr.kn
+	scales := kn.scalesFor(len(ims))
+	vsums := kn.vsumsFor(len(ims))
+	for i, im := range ims {
+		qx := fixed.QuantizeUnsignedInto(im.Scr.qvals, im.X, m.cfg.InputBits)
+		im.Scr.qvals = qx.Values
+		scales[i] = qx.Scale
 	}
-	qx := fixed.QuantizeUnsignedInto(scr.qvals, x, m.cfg.InputBits)
-	scr.qvals = qx.Values
 	internalOut := m.outDim
 	if m.cfg.Encoding == EncodingDifferential {
 		internalOut = 2 * m.outDim
 	}
-	acc := scr.accFor(internalOut)
+	for _, im := range ims {
+		im.Scr.accFor(internalOut)
+	}
 	sn := m.sampler.BinomSnapshot()
 	for _, ch := range m.chunks {
-		vals := qx.Values[ch.colLo:ch.colHi]
-		scr.masks = crossbar.InputMasksInto(scr.masks, vals, m.cfg.InputBits)
-		var vsum int64
-		for _, v := range vals {
-			vsum += int64(v)
+		for i, im := range ims {
+			sub := im.Scr
+			vals := sub.qvals[ch.colLo:ch.colHi]
+			sub.masks = crossbar.InputMasksInto(sub.masks, vals, m.cfg.InputBits)
+			var vsum int64
+			for _, v := range vals {
+				vsum += int64(v)
+			}
+			vsums[i] = vsum
 		}
 		for _, g := range ch.groups {
-			g.precompute(m, scr)
-			for b := range scr.masks {
-				lanes := g.read(m, scr, b, rng, &sn, st)
-				for i, outRow := range g.outRows {
-					acc[outRow] += int64(lanes[i]) << uint(b)
+			g.precomputeBatch(m, ims)
+			for _, im := range ims {
+				sub := im.Scr
+				for b := range sub.masks {
+					lanes := g.read(m, sub, b, im.RNG, &sn, im.St)
+					for li, outRow := range g.outRows {
+						sub.acc[outRow] += int64(lanes[li]) << uint(b)
+					}
 				}
 			}
 		}
@@ -678,18 +736,23 @@ func (m *MappedMatrix) MVMInto(out, x []float64, rng *stats.FastRand, scr *Scrat
 			// Offset-binary correction: subtract half * sum(inputs) from
 			// every internal row served by this chunk (Section VII-D
 			// negative-weight handling).
-			bias := fixed.BiasCorrection(m.cfg.WeightBits, vsum)
-			for r := range acc {
-				acc[r] -= bias
+			for i, im := range ims {
+				bias := fixed.BiasCorrection(m.cfg.WeightBits, vsums[i])
+				for r := range im.Scr.acc {
+					im.Scr.acc[r] -= bias
+				}
 			}
 		}
 	}
-	f := m.scale * qx.Scale
-	for r := range out {
-		if m.cfg.Encoding == EncodingDifferential {
-			out[r] = float64(acc[2*r]-acc[2*r+1]) * f
-		} else {
-			out[r] = float64(acc[r]) * f
+	for i, im := range ims {
+		f := m.scale * scales[i]
+		acc := im.Scr.acc
+		for r := range im.Out {
+			if m.cfg.Encoding == EncodingDifferential {
+				im.Out[r] = float64(acc[2*r]-acc[2*r+1]) * f
+			} else {
+				im.Out[r] = float64(acc[r]) * f
+			}
 		}
 	}
 }

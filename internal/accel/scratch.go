@@ -7,13 +7,13 @@ import "repro/internal/noise"
 // is reused across calls, so a warm Forward performs zero heap allocations.
 //
 // Ownership rules:
-//   - One Scratch belongs to exactly one evaluation goroutine (a Session
-//     owns one; so does each serving worker through its Session). It must
-//     never be shared across concurrent MVMs.
+//   - One Scratch belongs to exactly one evaluation goroutine (each lane of
+//     a Session owns one; so does each serving worker through its Session).
+//     It must never be shared across concurrent MVMs.
 //   - Slices returned by MVM-internal paths (group lane reads, mask planes)
 //     alias the arena and are only valid until the next MVM touches it.
 //     The public MVM copies its result into a caller-owned slice; MVMInto
-//     writes into the destination the caller provides.
+//     and MVMBatchInto write into the destinations the caller provides.
 //   - Buffers grow on demand and never shrink, so steady-state traffic over
 //     a fixed topology reaches a fixed point with no allocation at all.
 type Scratch struct {
@@ -21,8 +21,6 @@ type Scratch struct {
 	qvals []uint64
 	// masks are the input bit-plane masks (InputMasksInto reuse).
 	masks [][]uint64
-	// counts[b][level] is the fused ActiveCountsMulti output for plane b.
-	counts [][]int
 	// aggs and ts hold the current group's precomputed per-(plane, row)
 	// noise aggregates and ideal outputs, indexed plane*rows+row.
 	aggs []noise.RowAgg
@@ -38,6 +36,57 @@ type Scratch struct {
 	// out is the dequantized output buffer the Session MVM path hands to
 	// the network layers (which copy it immediately).
 	out []float64
+	// kn is the batch-kernel scratch MVMBatchInto uses when this arena is
+	// the first image's.
+	kn batchKernel
+	// one is MVMInto's argument slot for a batch of one.
+	one [1]BatchImage
+}
+
+// batchKernel is the scratch shared across the images of one MVMBatchInto
+// call: the flat level-major count buffer and accumulators of the fused
+// multi-image bit-plane kernel, plus small per-image gather slices.
+type batchKernel struct {
+	counts []int
+	accs   []noise.AggAccum
+	sets   [][][]uint64
+	scales []float64
+	vsums  []int64
+}
+
+func (k *batchKernel) countsFor(n int) []int {
+	if cap(k.counts) < n {
+		k.counts = make([]int, n)
+	}
+	return k.counts[:n]
+}
+
+func (k *batchKernel) accsFor(n int) []noise.AggAccum {
+	if cap(k.accs) < n {
+		k.accs = make([]noise.AggAccum, n)
+	}
+	return k.accs[:n]
+}
+
+func (k *batchKernel) setsFor(n int) [][][]uint64 {
+	if cap(k.sets) < n {
+		k.sets = make([][][]uint64, n)
+	}
+	return k.sets[:n]
+}
+
+func (k *batchKernel) scalesFor(n int) []float64 {
+	if cap(k.scales) < n {
+		k.scales = make([]float64, n)
+	}
+	return k.scales[:n]
+}
+
+func (k *batchKernel) vsumsFor(n int) []int64 {
+	if cap(k.vsums) < n {
+		k.vsums = make([]int64, n)
+	}
+	return k.vsums[:n]
 }
 
 // NewScratch returns an empty arena; buffers grow on first use.
@@ -55,26 +104,8 @@ func (s *Scratch) accFor(n int) []int64 {
 	return s.acc
 }
 
-// countsFor returns the planes x levels fused count matrix (contents stale;
-// ActiveCountsMulti zeroes what it uses).
-func (s *Scratch) countsFor(planes, levels int) [][]int {
-	if cap(s.counts) < planes {
-		grown := make([][]int, planes)
-		copy(grown, s.counts[:cap(s.counts)])
-		s.counts = grown
-	}
-	s.counts = s.counts[:planes]
-	for b := range s.counts {
-		if cap(s.counts[b]) < levels {
-			s.counts[b] = make([]int, levels)
-		}
-		s.counts[b] = s.counts[b][:levels]
-	}
-	return s.counts
-}
-
 // aggTsFor returns the per-(plane, row) aggregate and ideal-output buffers
-// for one group (contents stale; precompute overwrites every entry).
+// for one group (contents stale; precomputeBatch overwrites every entry).
 func (s *Scratch) aggTsFor(n int) ([]noise.RowAgg, []int) {
 	if cap(s.aggs) < n {
 		s.aggs = make([]noise.RowAgg, n)
@@ -103,7 +134,7 @@ func (s *Scratch) plausFor(n int) []uint64 {
 }
 
 // outFor returns the MVM output buffer for n outputs (contents stale;
-// MVMInto overwrites every entry).
+// MVMBatchInto overwrites every entry).
 func (s *Scratch) outFor(n int) []float64 {
 	if cap(s.out) < n {
 		s.out = make([]float64, n)

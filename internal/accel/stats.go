@@ -20,9 +20,10 @@ type Stats struct {
 	// fixed-point fallback path instead of the crossbars (degraded mode
 	// after the recovery ladder gives up on a layer's hardware).
 	SoftMVMs uint64
-	// BatchMVMs counts matrix-vector products evaluated through the batched
-	// multi-image kernel (each image's MVM counts once, so the ratio
-	// BatchMVMs / total MVMs is the batched-path coverage).
+	// BatchMVMs counts the crossbar matrix-vector products of multi-image
+	// passes (ForwardBatch and the routed batch dispatch above it); each
+	// image's MVM counts once, so the ratio BatchMVMs / total MVMs is the
+	// share of work that was coalesced. Single-image calls never count here.
 	BatchMVMs uint64
 }
 

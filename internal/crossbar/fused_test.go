@@ -48,27 +48,54 @@ func randomMask(rng *rand.Rand, words, cols int) []uint64 {
 	return m
 }
 
-// TestActiveCountsMultiMatchesScalar proves the fused kernel equals
-// per-plane ActiveCounts on every row of a heavily mutated array.
-func TestActiveCountsMultiMatchesScalar(t *testing.T) {
-	a := scrambledArray(t, 32, 100, 2, 2, 5)
-	rng := rand.New(rand.NewPCG(9, 9))
+// TestActiveCountsBatchMatchesScalar proves the fused multi-image kernel
+// equals per-(image, plane) ActiveCounts on every row of heavily mutated
+// arrays (stuck cells, drift, spared rows), at batch sizes 1, 2 and 5 and
+// for rows of one, two and several mask words — the unrolled and the
+// general word loops. Levels absent from the row's level list are never
+// written by the kernel, so the scalar count must be zero there.
+func TestActiveCountsBatchMatchesScalar(t *testing.T) {
 	const planes = 8
-	inputs := make([][]uint64, planes)
-	for b := range inputs {
-		inputs[b] = randomMask(rng, a.MaskWords(), a.Cols)
-	}
-	fused := make([][]int, planes)
-	for b := range fused {
-		fused[b] = make([]int, a.NumLevels())
-	}
-	want := make([]int, a.NumLevels())
-	for r := 0; r < a.Rows; r++ {
-		a.ActiveCountsMulti(r, inputs, fused)
-		for b := range inputs {
-			a.ActiveCounts(r, inputs[b], want)
-			if !reflect.DeepEqual(fused[b], want) {
-				t.Fatalf("row %d plane %d: fused %v, scalar %v", r, b, fused[b], want)
+	for _, cols := range []int{40, 100, 200} {
+		a := scrambledArray(t, 32, cols, 2, 2, uint64(5+cols))
+		rng := rand.New(rand.NewPCG(9, uint64(cols)))
+		for _, b := range []int{1, 2, 5} {
+			sets := make([][][]uint64, b)
+			for i := range sets {
+				sets[i] = make([][]uint64, planes)
+				for p := range sets[i] {
+					sets[i][p] = randomMask(rng, a.MaskWords(), a.Cols)
+				}
+			}
+			stride := b * planes
+			counts := make([]int, a.NumLevels()*stride)
+			want := make([]int, a.NumLevels())
+			for r := 0; r < a.Rows; r++ {
+				for i := range counts {
+					counts[i] = -1
+				}
+				a.ActiveCountsBatch(r, sets, counts)
+				present := make([]bool, a.NumLevels())
+				for _, l := range a.LevelList(r) {
+					present[l] = true
+				}
+				for i, set := range sets {
+					for p, in := range set {
+						a.ActiveCounts(r, in, want)
+						for l := 1; l < a.NumLevels(); l++ {
+							if !present[l] {
+								if want[l] != 0 {
+									t.Fatalf("cols %d B %d row %d: unlisted level %d has %d active cells", cols, b, r, l, want[l])
+								}
+								continue
+							}
+							if got := counts[l*stride+i*planes+p]; got != want[l] {
+								t.Fatalf("cols %d B %d row %d image %d plane %d level %d: fused %d, scalar %d",
+									cols, b, r, i, p, l, got, want[l])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -207,48 +207,12 @@ func (s *RowSampler) AggregateRowLevels(levels []uint8, counts []int) RowAgg {
 	return s.finishAgg(s.aggregateLevels(levels, counts))
 }
 
-// AggregateRowLevelsIdeal is AggregateRowLevels fused with the ideal ADC
-// output reduction sum(level*count): the accelerator's precompute pass needs
-// both per (row, bit-plane), and one walk of the level list serves the two.
-// The extra integer accumulation cannot perturb the float sequence, so the
-// aggregate stays bit-identical to AggregateRowLevels.
-func (s *RowSampler) AggregateRowLevelsIdeal(levels []uint8, counts []int) (RowAgg, int) {
-	var stepSum, meanExcess, comp, curSteps float64
-	var n, ideal int
-	var sbar, statVar, dynVar float64
-	p := s.params.PRTN
-	for _, lv := range levels {
-		k := int(lv)
-		c := counts[k]
-		if c == 0 {
-			continue
-		}
-		ideal += k * c
-		fc := float64(c)
-		t := &s.terms[k]
-		if t.rtnActive {
-			n += c
-			stepSum += fc * t.stepExcess
-			meanExcess += fc * p * t.stepExcess
-		}
-		comp += fc * t.compSteps
-		statVar += fc * t.progVar
-		dynVar += fc * t.thermVar
-		curSteps += fc * t.gSteps
-	}
-	dynVar += s.shotVarPerStep * curSteps
-	if n > 0 {
-		sbar = stepSum / float64(n)
-	}
-	return s.finishAgg(n, sbar, meanExcess-comp, statVar, dynVar), ideal
-}
-
 // AggAccum is one (image, bit-plane)'s in-flight state in the batched
-// level-list reduction: the running sums AggregateRowLevelsIdeal keeps in
-// locals, exposed so a single walk of a row's level list can advance B
-// independent reductions side by side (level-major, so the per-level noise
-// terms stay in registers and the count loads are unit-stride). Finish with
-// FinishAccum.
+// level-list reduction: the running sums AggregateRowLevels keeps in locals
+// plus the ideal ADC output sum(level*count), exposed so a single walk of a
+// row's level list can advance B independent reductions side by side
+// (level-major, so the per-level noise terms stay in registers and the
+// count loads are unit-stride). Finish with FinishAccum.
 type AggAccum struct {
 	stepSum, meanExcess, comp, statVar, dynVar, curSteps float64
 	n, ideal                                             int
@@ -261,13 +225,12 @@ type AggAccum struct {
 // matching what the crossbar kernel writes). The accumulators are reset
 // first, so one call per row is the whole reduction.
 //
-// Each reduction is bit-identical to AggregateRowLevelsIdeal on its own
-// counts: like the serial kernel it skips zero counts (which is also a pure
+// Each reduction is bit-identical to AggregateRowLevels on its own counts:
+// like that reduction it skips zero counts (which is also a pure
 // identity — every per-level term is non-negative, so each accumulator
 // starts at +0.0 and never turns negative, and adding the +0.0 products a
 // zero count would produce leaves every float bit unchanged), and the
-// per-level expression shapes and ascending visit order match the serial
-// kernel exactly.
+// per-level expression shapes and ascending visit order match it exactly.
 func (s *RowSampler) AccumulateRowLevelsBatch(levels []uint8, counts []int, accs []AggAccum) {
 	clear(accs)
 	stride := len(accs)
@@ -310,7 +273,8 @@ func (s *RowSampler) AccumulateRowLevelsBatch(levels []uint8, counts []int, accs
 }
 
 // FinishAccum closes one batched reduction, returning exactly what
-// AggregateRowLevelsIdeal would have for the same counts.
+// AggregateRowLevels would have for the same counts, plus the ideal ADC
+// output sum(level*count).
 func (s *RowSampler) FinishAccum(a *AggAccum) (RowAgg, int) {
 	dynVar := a.dynVar + s.shotVarPerStep*a.curSteps
 	var sbar float64

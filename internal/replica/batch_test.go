@@ -29,7 +29,7 @@ func noisyEngine(t testing.TB) *accel.Engine {
 // batched forward must be bit-identical, stream for stream, to the serial
 // routed session — picks, per-layer stream derivation, and noise draws all
 // preserved — and the per-lane stat drains must equal the serial
-// per-request drains.
+// per-request drains, also when one session interleaves both paths.
 func TestReplicaForwardBatchMatchesSerial(t *testing.T) {
 	const b = 8
 	streams := make([]uint64, b)
@@ -74,6 +74,39 @@ func TestReplicaForwardBatchMatchesSerial(t *testing.T) {
 		st.BatchMVMs = 0 // the only field allowed to differ: it marks the path
 		if st != wantSt[i] {
 			t.Fatalf("image %d stats: batch %+v != serial %+v", i, st, wantSt[i])
+		}
+	}
+
+	// Lane 0 serves single images and image 0 of every batch, so the same
+	// sessions interleaved in either order must still match: the batched
+	// session now answers single images, the serial one a batch.
+	for i, stream := range streams {
+		ses.Reseed(stream)
+		got := ses.Forward(xs[i]).Data
+		for k, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want[i][k]) {
+				t.Fatalf("single after batch, image %d logit %d: %v != %v", i, k, v, want[i][k])
+			}
+		}
+		if st := ses.DrainStats(); st != wantSt[i] {
+			t.Fatalf("single after batch, image %d stats: %+v != %+v", i, st, wantSt[i])
+		}
+	}
+	outs, errs = ser.ForwardBatch(xs, streams)
+	defer ser.Close()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("batch after single, image %d: %v", i, errs[i])
+		}
+		for k, v := range outs[i].Data {
+			if math.Float64bits(v) != math.Float64bits(want[i][k]) {
+				t.Fatalf("batch after single, image %d logit %d: %v != %v", i, k, v, want[i][k])
+			}
+		}
+		st := ser.DrainBatchStats(i)
+		st.BatchMVMs = 0
+		if st != wantSt[i] {
+			t.Fatalf("batch after single, image %d stats: %+v != %+v", i, st, wantSt[i])
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"math"
-
 	"repro/internal/accel"
 	"repro/internal/nn"
 )
@@ -17,34 +15,39 @@ import (
 const layerStreamStride = uint64(1) << 40
 
 // Session is one concurrent evaluation stream over a replica set: one
-// accel.Session per replica (each with its own RNG and scratch arena), a
+// accel.Session per replica (each with its own evaluation lanes), a
 // private forward-pass network clone, and the per-layer MVM closures that
-// route, fail over, and vote. Like accel.Session it must be driven from a
-// single goroutine.
+// route, fail over, and vote. A single image is lane 0 of a batch of one,
+// so both paths share one routed dispatch (batch.go). Like accel.Session it
+// must be driven from a single goroutine.
 type Session struct {
 	set  *Set
 	sub  []*accel.Session
 	net  *nn.Network
 	mvms []nn.MVMFunc
-	// stream is the request-level noise stream set by Reseed.
-	stream uint64
+	// streams[i] is lane i's request stream: Reseed sets lane 0's, and a
+	// batch sets one per image.
+	streams []uint64
 	// flagged counts consecutive detected-uncorrectable evaluations per
 	// layer; it resets when the routed read comes back clean and, at the
 	// vote threshold, escalates the layer to majority voting.
 	flagged []int
 	// tmp stages one sub-session's per-layer drain during the merged drain.
 	tmp map[int]accel.Stats
-	// bs is the batched-forward machinery, armed by the first ForwardBatch.
-	bs *batchState
+	// fb is the lockstep batcher, armed by the first ForwardBatch.
+	fb *nn.ForwardBatcher
+	// ds is the routed dispatch's gather scratch.
+	ds dispatchScratch
 }
 
 // NewSession creates an evaluation stream across every replica.
 func (s *Set) NewSession(seed uint64) *Session {
 	ses := &Session{
-		set: s,
-		sub: make([]*accel.Session, len(s.engines)),
-		net: s.engines[0].InferenceNet(),
-		tmp: make(map[int]accel.Stats),
+		set:     s,
+		sub:     make([]*accel.Session, len(s.engines)),
+		net:     s.engines[0].InferenceNet(),
+		streams: make([]uint64, 1),
+		tmp:     make(map[int]accel.Stats),
 	}
 	for r, eng := range s.engines {
 		ses.sub[r] = eng.NewSession(seed)
@@ -54,103 +57,30 @@ func (s *Set) NewSession(seed uint64) *Session {
 	for _, layer := range s.engines[0].Layers() {
 		layer := layer
 		ses.mvms[layer] = func(x []float64) []float64 {
-			return ses.mvmLayer(layer, x)
+			return ses.MVMLayer(layer, x)
 		}
 	}
 	return ses
 }
 
-// Reseed repoints the session's request stream; per-layer sub-streams are
+// Reseed repoints lane 0's request stream; per-layer sub-streams are
 // derived from it at each evaluation.
-func (s *Session) Reseed(stream uint64) { s.stream = stream }
+func (s *Session) Reseed(stream uint64) { s.streams = append(s.streams[:0], stream) }
 
-// eval runs one layer MVM on one replica under the derived per-layer
-// stream, feeds the replica's health monitor, and returns the output (alias
-// of that replica session's scratch arena) with the call's ECU stats.
-func (s *Session) eval(r, layer int, x []float64) ([]float64, accel.Stats) {
-	sub := s.sub[r]
-	sub.Reseed(s.stream ^ uint64(layer+1)*layerStreamStride)
-	out, st := sub.MVMLayer(layer, x)
-	s.set.routed[r].Add(1)
-	s.set.mons[r].ObserveOne(layer, st)
-	return out, st
-}
-
-// mvmLayer is the routed evaluation of one layer: pick the healthiest live
-// replica; on a detected-uncorrectable read either majority-vote (once the
-// layer is persistently flagged) or re-execute on a sibling whose fault
-// population is independent — spatial first, because temporal retry re-reads
-// the same stuck cells.
-func (s *Session) mvmLayer(layer int, x []float64) []float64 {
-	r := s.set.pick(layer, s.stream)
-	out, st := s.eval(r, layer, x)
-	if st.Detected == 0 {
-		s.flagged[layer] = 0
-		return out
-	}
-	s.flagged[layer]++
-	if th := s.set.VoteThreshold(); th > 0 && s.flagged[layer] >= th {
-		if v, ok := s.vote(layer, x); ok {
-			return v
-		}
-	}
-	alt, ok := s.set.alternate(layer, s.stream, r)
-	if !ok {
-		return out
-	}
-	s.set.failovers[r].Add(1)
-	out2, st2 := s.eval(alt, layer, x)
-	if st2.Detected < st.Detected {
-		return out2
-	}
-	return out
-}
-
-// MVMLayer is the routed evaluation of one layer under the session's
-// current request stream — mvmLayer exported for callers that compose
-// their own forward pass over a partition of the network (the shard pool).
-// The returned slice aliases a replica session's scratch arena and is
-// valid until this session's next serial MVM.
+// MVMLayer is the routed evaluation of one layer for lane 0 under the
+// session's current request stream, for callers that compose their own
+// forward pass over a partition of the network (the shard pool). The
+// returned slice aliases a replica session's lane-0 arena and is valid
+// until this session's next single-image MVM. Panics if x has the wrong
+// length, like the Forward-pass MVM.
 func (s *Session) MVMLayer(layer int, x []float64) []float64 {
-	return s.mvmLayer(layer, x)
-}
-
-// vote evaluates the layer on a 3-replica panel and returns the
-// element-wise median, tallying elements where a voter deviates past the
-// tolerance — the signature of a damaged copy whose errors alias into
-// plausible magnitudes. ok is false when fewer than 3 replicas are
-// attached. The three outputs alias three distinct scratch arenas, so they
-// are simultaneously live; the median is written into the first in place.
-func (s *Session) vote(layer int, x []float64) ([]float64, bool) {
-	vs := s.set.voters(layer, 3)
-	if len(vs) < 3 {
-		return nil, false
+	one := &s.ds.one
+	one.xs[0] = x
+	outs, errs := s.batchMVM(layer, one.idx[:], one.xs[:], false)
+	if errs != nil {
+		panic(errs[0])
 	}
-	a, _ := s.eval(vs[0], layer, x)
-	b, _ := s.eval(vs[1], layer, x)
-	c, _ := s.eval(vs[2], layer, x)
-	s.set.votes.Add(1)
-	tol := s.set.cfg.VoteTolerance
-	var dis uint64
-	for i := range a {
-		av, bv, cv := a[i], b[i], c[i]
-		m := av + bv + cv - math.Min(av, math.Min(bv, cv)) - math.Max(av, math.Max(bv, cv))
-		lim := tol * math.Max(math.Abs(m), 1)
-		if math.Abs(av-m) > lim {
-			dis++
-		}
-		if math.Abs(bv-m) > lim {
-			dis++
-		}
-		if math.Abs(cv-m) > lim {
-			dis++
-		}
-		a[i] = m
-	}
-	if dis > 0 {
-		s.set.disagreements.Add(dis)
-	}
-	return a, true
+	return outs[0]
 }
 
 // Forward runs one routed inference pass. The returned tensor is owned by
@@ -159,26 +89,10 @@ func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
 	return s.net.ForwardWith(x, s.mvms)
 }
 
-// DrainStats returns the ECU statistics accumulated across every replica
-// since the last drain and resets them.
-func (s *Session) DrainStats() accel.Stats {
-	var st accel.Stats
-	for _, sub := range s.sub {
-		st.Merge(sub.DrainStats())
-	}
-	return st
-}
+// DrainStats returns lane 0's ECU statistics accumulated across every
+// replica since the last drain and resets them.
+func (s *Session) DrainStats() accel.Stats { return s.DrainBatchStats(0) }
 
-// DrainLayerStatsInto drains the per-layer statistics of every replica,
-// merged by layer, into the caller-owned map (cleared first).
-func (s *Session) DrainLayerStatsInto(out map[int]accel.Stats) {
-	clear(out)
-	for _, sub := range s.sub {
-		sub.DrainLayerStatsInto(s.tmp)
-		for layer, st := range s.tmp {
-			agg := out[layer]
-			agg.Merge(st)
-			out[layer] = agg
-		}
-	}
-}
+// DrainLayerStatsInto drains lane 0's per-layer statistics of every
+// replica, merged by layer, into the caller-owned map (cleared first).
+func (s *Session) DrainLayerStatsInto(out map[int]accel.Stats) { s.DrainBatchLayerStatsInto(0, out) }

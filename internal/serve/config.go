@@ -37,7 +37,7 @@ type Config struct {
 	// keeps its own noise stream, so coalescing never changes results —
 	// prediction i is the same pure function of (engine, seed) whether it
 	// is served alone or with 15 batchmates. 0 = 16; 1 disables coalescing
-	// (the pre-batch serial worker, byte for byte).
+	// (every request evaluated alone).
 	MaxBatch int
 	// CoalesceWait is how long a worker that dequeued a request holds it
 	// waiting for batchmates before evaluating (only while the batch is

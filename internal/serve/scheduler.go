@@ -72,22 +72,16 @@ type job struct {
 // range clients typically use for explicit, reproducible seeds.
 const autoSeedBase = uint64(1) << 32
 
-// poolSession is what a worker needs from its evaluation stream — satisfied
-// by accel.Session (single copy) and replica.Session (routed set), so the
-// R=1 hot path keeps the direct session untouched.
-type poolSession interface {
+// session is a worker's evaluation stream — satisfied by accel.Session
+// (single copy), replica.Session (routed set), and shard.Session (shard
+// pool): single-image evaluation with per-request stat drains, plus one
+// multi-image pass over the mapped arrays with per-image noise lanes and
+// per-image drains.
+type session interface {
 	Reseed(stream uint64)
 	DrainStats() accel.Stats
 	DrainLayerStatsInto(out map[int]accel.Stats)
 	Forward(x *nn.Tensor) *nn.Tensor
-}
-
-// batchSession is the batched growth of poolSession: one multi-image pass
-// over the mapped arrays with per-image noise lanes and per-image stat
-// drains. Both session kinds implement it; the interface stays separate so
-// a custom poolSession (tests) still works, served serially.
-type batchSession interface {
-	poolSession
 	ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error)
 	DrainBatchStats(i int) accel.Stats
 	DrainBatchLayerStatsInto(i int, out map[int]accel.Stats)
@@ -96,7 +90,7 @@ type batchSession interface {
 
 // workerState is one worker's owned session.
 type workerState struct {
-	sess poolSession
+	sess session
 	// perLayer is the worker's reusable per-request layer-stats map; the
 	// monitor's Observe only reads it, so one map per worker suffices.
 	perLayer map[int]accel.Stats
@@ -249,7 +243,7 @@ func (s *Scheduler) Canceled() uint64 { return s.canceled.Load() }
 // newSession builds one worker's evaluation stream: a shard-routed session
 // when the pool is sharded, a routed replica session when replication is
 // on, the engine's own session otherwise.
-func (s *Scheduler) newSession(id uint64) poolSession {
+func (s *Scheduler) newSession(id uint64) session {
 	if s.pool != nil {
 		return s.pool.NewSession(id)
 	}
@@ -352,20 +346,14 @@ func (s *Scheduler) submit(ctx context.Context, input *nn.Tensor, seed uint64, t
 }
 
 // worker is one evaluation stream: it owns a session and serves queued jobs
-// until the queue is closed and drained. When the session supports batching
-// it coalesces whatever is already queued (plus an optional CoalesceWait
-// window) into one multi-image layer-MVM pass, up to MaxBatch images.
+// until the queue is closed and drained. It coalesces whatever is already
+// queued (plus an optional CoalesceWait window) into one multi-image
+// layer-MVM pass, up to MaxBatch images.
 func (s *Scheduler) worker(id uint64) {
 	defer s.wg.Done()
 	w := &workerState{sess: s.newSession(id), perLayer: make(map[int]accel.Stats)}
-	bs, _ := w.sess.(batchSession)
-	if bs != nil {
-		defer bs.Close()
-	}
+	defer w.sess.Close()
 	maxB := s.cfg.MaxBatch
-	if bs == nil || maxB < 1 {
-		maxB = 1
-	}
 	batch := make([]*job, 0, maxB)
 	live := make([]*job, 0, maxB)
 	for j := range s.queue {
@@ -398,8 +386,8 @@ func (s *Scheduler) worker(id uint64) {
 			}
 			live = append(live, jb)
 		}
-		if len(live) > 1 && bs != nil {
-			s.serveBatch(w, bs, live, start)
+		if len(live) > 1 {
+			s.serveBatch(w, live, start)
 			continue
 		}
 		for _, jb := range live {
@@ -410,8 +398,7 @@ func (s *Scheduler) worker(id uint64) {
 
 // coalesce greedily drains already-queued jobs into the batch, then — when
 // CoalesceWait is set and the batch is not full — holds the batch open for
-// late batchmates. The dequeue hook fires once per job, like the serial
-// loop's.
+// late batchmates. The dequeue hook fires once per job.
 func (s *Scheduler) coalesce(w *workerState, batch *[]*job, maxB int) {
 	for len(*batch) < maxB {
 		select {
@@ -468,7 +455,7 @@ func (s *Scheduler) coalesceWait(w *workerState, batch *[]*job, maxB int) {
 	}
 }
 
-// serveOne evaluates one job on the serial path and answers it.
+// serveOne evaluates one job alone and answers it.
 func (s *Scheduler) serveOne(w *workerState, j *job, start time.Time) {
 	pred, err := s.serveJob(w, j)
 	if err == nil {
@@ -481,11 +468,11 @@ func (s *Scheduler) serveOne(w *workerState, j *job, start time.Time) {
 
 // serveBatch evaluates a coalesced batch in one multi-image pass. Per-image
 // guarantees survive coalescing: each image keeps its own noise stream and
-// per-lane stats, a failed image falls back to the serial path (which owns
+// per-lane stats, a failed image is re-evaluated alone by serveOne (which owns
 // the recovery ladder) without disturbing batchmates, and a post-batch
-// breaker trip climbs the same retry → remap → degrade ladder a serial
+// breaker trip climbs the same retry → remap → degrade ladder a lone
 // request would.
-func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, start time.Time) {
+func (s *Scheduler) serveBatch(w *workerState, jobs []*job, start time.Time) {
 	if s.cfg.batchHook != nil {
 		s.cfg.batchHook(jobs)
 	}
@@ -511,19 +498,19 @@ func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, sta
 	case 0:
 		return
 	case 1:
-		// A lone survivor gets the serial path — same answer, no batch
+		// A lone survivor is served alone — same answer, no batch
 		// machinery.
 		s.serveOne(w, jobs[0], start)
 		return
 	}
-	outs, errs := s.forwardBatch(bs, w.bxs, w.bstreams)
+	outs, errs := s.forwardBatch(w.sess, w.bxs, w.bstreams)
 	for i, j := range jobs {
 		failed := outs == nil || outs[i] == nil || (errs != nil && errs[i] != nil)
 		if failed {
-			// Discard the lane's partial stats, then let the serial path —
+			// Discard the lane's partial stats, then let serveOne —
 			// ladder included — re-evaluate this image alone. Batchmates'
 			// outputs live in their own lanes and are untouched.
-			bs.DrainBatchStats(i)
+			w.sess.DrainBatchStats(i)
 			s.serveOne(w, j, start)
 			continue
 		}
@@ -532,8 +519,8 @@ func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, sta
 			k = s.cfg.TopK
 		}
 		topk := outs[i].TopK(k)
-		bs.DrainBatchLayerStatsInto(i, w.perLayer)
-		pred := Prediction{Class: topk[0], TopK: topk, Seed: j.seed, Stats: bs.DrainBatchStats(i)}
+		w.sess.DrainBatchLayerStatsInto(i, w.perLayer)
+		pred := Prediction{Class: topk[0], TopK: topk, Seed: j.seed, Stats: w.sess.DrainBatchStats(i)}
 		var err error
 		if s.rec != nil {
 			if open := s.rec.mon.Observe(w.perLayer); len(open) > 0 {
@@ -562,14 +549,14 @@ func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, sta
 
 // forwardBatch shields the pool from a coordinator-side panic: when the
 // batched pass itself blows up, every image is reported failed and retried
-// serially by the caller.
-func (s *Scheduler) forwardBatch(bs batchSession, xs []*nn.Tensor, streams []uint64) (outs []*nn.Tensor, errs []error) {
+// alone by the caller.
+func (s *Scheduler) forwardBatch(sess session, xs []*nn.Tensor, streams []uint64) (outs []*nn.Tensor, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
 			outs, errs = nil, nil
 		}
 	}()
-	return bs.ForwardBatch(xs, streams)
+	return sess.ForwardBatch(xs, streams)
 }
 
 // answer delivers one result and updates the drain accounting.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/nn"
+	"repro/internal/replica"
 )
 
 // Session is one concurrent evaluation stream over the pool: one replica
@@ -14,7 +15,8 @@ import (
 // Like the sessions underneath it must be driven from a single goroutine.
 type Session struct {
 	pool *Pool
-	subs []*sessionSub
+	// subs[i] is this session's evaluation stream on shard i.
+	subs []*replica.Session
 	net  *nn.Network
 	mvms []nn.MVMFunc
 	// fb is the pool-level lockstep batcher, armed by the first
@@ -24,43 +26,23 @@ type Session struct {
 	tmp map[int]accel.Stats
 }
 
-// sessionSub pairs a shard with this session's evaluation stream on it.
-type sessionSub struct {
-	sh  *Shard
-	ses sessionStream
-}
-
-// sessionStream is the slice of replica.Session the pool session drives —
-// an interface seam so shard tests can fake a shard's evaluator.
-type sessionStream interface {
-	Reseed(stream uint64)
-	MVMLayer(layer int, x []float64) []float64
-	BeginBatch(streams []uint64)
-	BatchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error)
-	DrainStats() accel.Stats
-	DrainLayerStatsInto(out map[int]accel.Stats)
-	DrainBatchStats(i int) accel.Stats
-	DrainBatchLayerStatsInto(i int, out map[int]accel.Stats)
-	Close()
-}
-
 // NewSession creates an evaluation stream across every shard.
 func (p *Pool) NewSession(seed uint64) *Session {
 	s := &Session{
 		pool: p,
-		subs: make([]*sessionSub, len(p.shards)),
+		subs: make([]*replica.Session, len(p.shards)),
 		net:  p.primary.InferenceNet(),
 		tmp:  make(map[int]accel.Stats),
 	}
 	for i, sh := range p.shards {
-		s.subs[i] = &sessionSub{sh: sh, ses: sh.set.NewSession(seed)}
+		s.subs[i] = sh.set.NewSession(seed)
 	}
 	s.mvms = make([]nn.MVMFunc, len(s.net.Layers))
 	for _, layer := range p.layers {
 		layer := layer
 		sub := s.subs[p.owner[layer]]
 		s.mvms[layer] = func(x []float64) []float64 {
-			return sub.ses.MVMLayer(layer, x)
+			return sub.MVMLayer(layer, x)
 		}
 	}
 	return s
@@ -72,7 +54,7 @@ func (p *Pool) NewSession(seed uint64) *Session {
 // regardless of the shard count.
 func (s *Session) Reseed(stream uint64) {
 	for _, sub := range s.subs {
-		sub.ses.Reseed(stream)
+		sub.Reseed(stream)
 	}
 }
 
@@ -97,58 +79,42 @@ func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor,
 		s.fb = nn.NewForwardBatcher(s.pool.primary.InferenceNet, s.pool.layers)
 	}
 	for _, sub := range s.subs {
-		sub.ses.BeginBatch(streams)
+		sub.BeginBatch(streams)
 	}
 	return s.fb.Run(xs, s.batchMVM)
 }
 
 // batchMVM routes one paused layer group to the owning shard.
 func (s *Session) batchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
-	return s.subs[s.pool.owner[layer]].ses.BatchMVM(layer, idx, xs)
+	return s.subs[s.pool.owner[layer]].BatchMVM(layer, idx, xs)
 }
 
-// DrainStats returns the ECU statistics accumulated across every shard
-// since the last drain and resets them.
-func (s *Session) DrainStats() accel.Stats {
-	var st accel.Stats
-	for _, sub := range s.subs {
-		st.Merge(sub.ses.DrainStats())
-	}
-	return st
-}
+// DrainStats returns lane 0's ECU statistics accumulated across every
+// shard since the last drain and resets them.
+func (s *Session) DrainStats() accel.Stats { return s.DrainBatchStats(0) }
 
-// DrainLayerStatsInto drains the per-layer statistics of every shard,
-// merged by layer, into the caller-owned map (cleared first). Shards own
-// disjoint layers, so the merge is a union.
-func (s *Session) DrainLayerStatsInto(out map[int]accel.Stats) {
-	clear(out)
-	for _, sub := range s.subs {
-		sub.ses.DrainLayerStatsInto(s.tmp)
-		for layer, st := range s.tmp {
-			agg := out[layer]
-			agg.Merge(st)
-			out[layer] = agg
-		}
-	}
-}
+// DrainLayerStatsInto drains lane 0's per-layer statistics of every shard,
+// merged by layer, into the caller-owned map (cleared first).
+func (s *Session) DrainLayerStatsInto(out map[int]accel.Stats) { s.DrainBatchLayerStatsInto(0, out) }
 
 // DrainBatchStats returns lane i's stats summed across every shard since
 // the last drain and resets them.
 func (s *Session) DrainBatchStats(i int) accel.Stats {
 	var st accel.Stats
 	for _, sub := range s.subs {
-		st.Merge(sub.ses.DrainBatchStats(i))
+		st.Merge(sub.DrainBatchStats(i))
 	}
 	return st
 }
 
 // DrainBatchLayerStatsInto drains lane i's per-layer stats, merged across
-// shards, into the caller-owned map (cleared first). Call it before
-// DrainBatchStats for the same lane.
+// shards, into the caller-owned map (cleared first). Shards own disjoint
+// layers, so the merge is a union. Call it before DrainBatchStats for the
+// same lane.
 func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]accel.Stats) {
 	clear(out)
 	for _, sub := range s.subs {
-		sub.ses.DrainBatchLayerStatsInto(i, s.tmp)
+		sub.DrainBatchLayerStatsInto(i, s.tmp)
 		for layer, st := range s.tmp {
 			agg := out[layer]
 			agg.Merge(st)
@@ -157,14 +123,14 @@ func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]accel.Stats) {
 	}
 }
 
-// Close releases the session's batch machinery across every shard. The
-// serial path stays usable; the batched path re-arms lazily.
+// Close releases the session's batch machinery across every shard.
+// Single-image calls stay usable; the batched path re-arms lazily.
 func (s *Session) Close() {
 	if s.fb != nil {
 		s.fb.Close()
 		s.fb = nil
 	}
 	for _, sub := range s.subs {
-		sub.ses.Close()
+		sub.Close()
 	}
 }

@@ -58,7 +58,7 @@ func testInput(seed uint64) *nn.Tensor {
 // pure function of (engine config, request stream, input) and does not
 // depend on how many shards the layers are sliced across — serially and
 // through the batched path, which must also match the serial path bit for
-// bit.
+// bit, with single images and batches interleaved on one session.
 func TestShardCountInvariance(t *testing.T) {
 	streams := []uint64{1, 2, 3, 11, 99, 1 << 33}
 	var ref map[uint64][]float64
@@ -69,9 +69,11 @@ func TestShardCountInvariance(t *testing.T) {
 		}
 		ses := pool.NewSession(1)
 		serial := make(map[uint64][]float64, len(streams))
+		serialSt := make(map[uint64]accel.Stats, len(streams))
 		for _, stream := range streams {
 			ses.Reseed(stream)
 			serial[stream] = append([]float64(nil), ses.Forward(testInput(stream)).Data...)
+			serialSt[stream] = ses.DrainStats()
 		}
 		if ref == nil {
 			ref = serial
@@ -96,6 +98,22 @@ func TestShardCountInvariance(t *testing.T) {
 			if !equalF64(outs[i].Data, ref[stream]) {
 				t.Fatalf("%d shards: batched stream %d diverged from serial\n got %v\nwant %v",
 					n, stream, outs[i].Data, ref[stream])
+			}
+			st := ses.DrainBatchStats(i)
+			st.BatchMVMs = 0
+			if st != serialSt[stream] {
+				t.Fatalf("%d shards: batched stream %d stats %+v, serial %+v", n, stream, st, serialSt[stream])
+			}
+		}
+		// Single images after the batch share lane 0 with image 0 of it and
+		// must be unaffected by it.
+		for _, stream := range streams {
+			ses.Reseed(stream)
+			if got := ses.Forward(testInput(stream)).Data; !equalF64(got, ref[stream]) {
+				t.Fatalf("%d shards: stream %d after a batch diverged\n got %v\nwant %v", n, stream, got, ref[stream])
+			}
+			if st := ses.DrainStats(); st != serialSt[stream] {
+				t.Fatalf("%d shards: stream %d after a batch: stats %+v, want %+v", n, stream, st, serialSt[stream])
 			}
 		}
 		ses.Close()
